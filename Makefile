@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build vet test race bench bench-compare bench-tables bench-serve bench-gateway loadgen-smoke gateway-smoke store-smoke ingest-smoke experiments fmt fmt-check fuzz-smoke cover-check
+.PHONY: all check build vet test race perfbench-check bench bench-compare bench-tables bench-serve bench-gateway loadgen-smoke gateway-smoke store-smoke ingest-smoke experiments fmt fmt-check fuzz-smoke cover-check
 
 all: check
 
@@ -13,8 +13,9 @@ all: check
 # a server restart (store-smoke), and streaming re-crawl ingestion with
 # fingerprint reuse (ingest-smoke). The runtime pool, serving layer,
 # server handlers and AlignAll fan-out are concurrency-bearing, so a
-# non-race test run is not a complete check.
-check: fmt-check vet build race fuzz-smoke cover-check loadgen-smoke gateway-smoke store-smoke ingest-smoke
+# non-race test run is not a complete check. perfbench-check keeps the
+# benchmark module building against the store and facade APIs it uses.
+check: fmt-check vet build race perfbench-check fuzz-smoke cover-check loadgen-smoke gateway-smoke store-smoke ingest-smoke
 
 build:
 	$(GO) build ./...
@@ -35,6 +36,14 @@ test: build vet
 # timeout, so the race target sets its own.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# The repository benchmark (perfbench/) is a module of its own that builds
+# this checkout through a replace directive, so the root ./... patterns skip
+# it. Vet and test it here, so an API change that breaks the benchmark's
+# build fails the check.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Hot-path benchmark harness: runs the workload in cmd/briq-bench (CSR vs
 # frozen reference, equivalence-gated) and writes BENCH_pipeline.json.

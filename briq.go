@@ -394,6 +394,9 @@ func NewTrained(seed int64) (*Pipeline, error) {
 // concurrent identical requests trigger exactly one pipeline run, and under
 // saturation the request may fail with ErrOverloaded or ErrDeadlineBudget.
 // Returned alignments must then be treated as read-only.
+//
+// With a sink attached, the page's documents replace whatever the sink held
+// for pageID. A request answered from the page cache writes nothing.
 func AlignHTMLContext(ctx context.Context, p *Pipeline, pageID, html string) ([]Alignment, error) {
 	if p.Gate == nil {
 		page := htmlx.ParseString(html)
@@ -401,7 +404,7 @@ func AlignHTMLContext(ctx context.Context, p *Pipeline, pageID, html string) ([]
 		if err != nil {
 			return nil, err
 		}
-		offerToSink(p, docs, perDoc)
+		writePages(p, docs, nil, perDoc, serve.Key{})
 		return flattenAlignments(perDoc), nil
 	}
 	key := p.Gate.PageKey(pageID, html)
@@ -411,11 +414,11 @@ func AlignHTMLContext(ctx context.Context, p *Pipeline, pageID, html string) ([]
 		if err != nil {
 			return nil, 0, err
 		}
-		// Leader-only: cache hits skip the closure, so a sink sees each
-		// fresh (document, model) identity once.
-		offerToSink(p, docs, perDoc)
+		// Leader-only: cache hits skip the closure. The page key travels
+		// with the write so a restarted store can warm this answer back.
+		writePages(p, docs, nil, perDoc, key)
 		als := flattenAlignments(perDoc)
-		return als, alignmentsSize(als), nil
+		return als, core.AlignmentsSize(als), nil
 	})
 	if err != nil {
 		return nil, err
@@ -423,14 +426,32 @@ func AlignHTMLContext(ctx context.Context, p *Pipeline, pageID, html string) ([]
 	return copyAlignments(v.([]Alignment)), nil
 }
 
-// offerToSink hands freshly computed per-document alignments to the
-// pipeline's sink, when one is attached.
-func offerToSink(p *Pipeline, docs []*Document, perDoc [][]Alignment) {
+// writePages hands aligned documents to the pipeline's sink as one
+// whole-page write per PageID, in first-seen order: each group is that
+// page's complete document set. keys, when non-nil, are the documents'
+// content addresses, already derived for the cache lookup; pageKey is the
+// page request's cache key, zero for corpus calls.
+func writePages(p *Pipeline, docs []*Document, keys []serve.Key, perDoc [][]Alignment, pageKey serve.Key) {
 	if p.Sink == nil {
 		return
 	}
-	for i, doc := range docs {
-		p.Sink.AddDocument(doc, perDoc[i])
+	pages := make(map[string]*core.PageWrite)
+	var order []*core.PageWrite
+	for i, d := range docs {
+		w := pages[d.PageID]
+		if w == nil {
+			w = &core.PageWrite{PageID: d.PageID, PageKey: pageKey}
+			pages[d.PageID] = w
+			order = append(order, w)
+		}
+		w.Docs = append(w.Docs, d)
+		w.Alignments = append(w.Alignments, perDoc[i])
+		if keys != nil {
+			w.Keys = append(w.Keys, keys[i])
+		}
+	}
+	for _, w := range order {
+		p.Sink.WritePage(*w)
 	}
 }
 
@@ -478,6 +499,11 @@ func IsUnalignable(err error) bool {
 // from the cache and only the misses fan out over the pool, and the whole
 // corpus run occupies one admission slot (failing fast with ErrOverloaded /
 // ErrDeadlineBudget under saturation).
+//
+// With a sink attached, the documents of one call that share a PageID are
+// that page's complete document set: each page is written whole, and
+// documents a previous write held for the page but this call omits leave the
+// corpus. Send every document of a page in one call.
 func AlignCorpus(ctx context.Context, p *Pipeline, docs []*Document) ([]Alignment, error) {
 	if p.Gate == nil {
 		pool := runtime.NewPool(p, runtime.Options{})
@@ -488,7 +514,7 @@ func AlignCorpus(ctx context.Context, p *Pipeline, docs []*Document) ([]Alignmen
 		if err != nil {
 			return nil, err
 		}
-		offerToSink(p, docs, perDoc)
+		writePages(p, docs, nil, perDoc, serve.Key{})
 		out := flattenAlignments(perDoc)
 		core.SortAlignments(out)
 		return out, nil
@@ -505,8 +531,7 @@ func AlignCorpus(ctx context.Context, p *Pipeline, docs []*Document) ([]Alignmen
 	var missDocs []*Document
 	var missIdx []int
 	for i, doc := range docs {
-		doc := doc
-		keys[i] = p.Gate.KeyFrom(func(w io.Writer) { hashDocument(w, doc) })
+		keys[i] = p.Gate.KeyFrom(func(w io.Writer) { core.HashDocument(w, doc) })
 		if v, ok := p.Gate.Lookup(keys[i]); ok {
 			perDoc[i] = v.([]Alignment)
 			continue
@@ -527,32 +552,15 @@ func AlignCorpus(ctx context.Context, p *Pipeline, docs []*Document) ([]Alignmen
 		for j, als := range fresh {
 			i := missIdx[j]
 			perDoc[i] = als
-			if p.Sink != nil {
-				// Offer before Store: the store's write-through hook on the
-				// gate dedups by this same key once the document is recorded.
-				p.Sink.AddDocument(missDocs[j], als)
-			}
-			p.Gate.Store(keys[i], als, alignmentsSize(als))
+			p.Gate.Store(keys[i], als, core.AlignmentsSize(als))
 		}
 	}
+	writePages(p, docs, keys, perDoc, serve.Key{})
 
-	var out []Alignment
-	for _, als := range perDoc {
-		out = append(out, als...)
-	}
+	out := flattenAlignments(perDoc)
 	core.SortAlignments(out)
 	return out, nil
 }
-
-// hashDocument writes a document's full alignment-relevant content so two
-// documents share a cache key iff the pipeline would see identical input.
-// The definition lives in core.HashDocument — the persistent store derives
-// the same identity.
-func hashDocument(w io.Writer, d *Document) { core.HashDocument(w, d) }
-
-// alignmentsSize estimates the resident bytes of a result slice for the
-// cache's byte accounting (see core.AlignmentsSize).
-func alignmentsSize(als []Alignment) int64 { return core.AlignmentsSize(als) }
 
 // copyAlignments returns a private copy of a cached result, preserving
 // nil-ness and emptiness (so cached and fresh responses marshal

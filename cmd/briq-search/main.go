@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"briq/client"
+	"briq/internal/core"
 	"briq/internal/document"
 	"briq/internal/htmlx"
 	"briq/internal/quantsearch"
@@ -95,10 +96,10 @@ func main() {
 	}
 }
 
-// indexDir segments every .html page under dir and feeds the documents
-// through a memory-only store — the same AddDocument path the server's
-// persistent store uses, minus the alignments (this mode indexes without a
-// trained model, exactly like the old in-process indexer).
+// indexDir segments every .html page under dir and writes each page through
+// a memory-only store — the same page upsert the server's persistent store
+// uses, minus the alignments (this mode indexes without a trained model,
+// exactly like the old in-process indexer).
 func indexDir(dir string) (*store.Store, int, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.html"))
 	if err != nil {
@@ -124,9 +125,7 @@ func indexDir(dir string) (*store.Store, int, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("%s: %v", path, err)
 		}
-		for _, doc := range docs {
-			st.AddDocument(doc, nil)
-		}
+		st.UpsertPage(pageID, docs, make([][]core.Alignment, len(docs)))
 	}
 	return st, len(paths), nil
 }

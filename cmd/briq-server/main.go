@@ -155,8 +155,8 @@ func main() {
 		}
 		defer st.Close()
 		c := st.Counters()
-		log.Printf("store %s: replayed %d documents, %d cache records (%d bytes, %d lines skipped)",
-			*storeDir, c["warm_documents"], c["warm_cache_records"], c["log_bytes"], c["replay_skipped"])
+		log.Printf("store %s: replayed %d documents, %d live (%d bytes, %d lines skipped)",
+			*storeDir, c["warm_documents"], c["live_documents"], c["log_bytes"], c["replay_skipped"])
 		opts.store = st
 	}
 	srv := newServer(pipeline, opts)

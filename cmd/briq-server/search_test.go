@@ -254,7 +254,12 @@ func TestListEnvelopeSchemaGolden(t *testing.T) {
 // TestWarmRestart is the acceptance check for the persistent store: a second
 // server booted over the same -store directory answers /v1/search
 // byte-identically, and its very first re-POST of an already-aligned page is
-// a cache hit.
+// a cache hit — for the latest page and for one it superseded alike.
+// testPageLater is testPage re-crawled with one more sentence: new document
+// identities on the same page.
+var testPageLater = strings.Replace(testPage, "69 female patients.",
+	"69 female patients. Rash affected 35 of them.", 1)
+
 func TestWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	searchURL := "/v1/search?q=side+effects+above+30"
@@ -268,8 +273,14 @@ func TestWarmRestart(t *testing.T) {
 	}
 
 	srv1, st1 := boot()
-	if rec := do(t, srv1, http.MethodPost, "/align", testPage); rec.Code != 200 {
-		t.Fatalf("align status = %d", rec.Code)
+	first := do(t, srv1, http.MethodPost, "/align", testPage)
+	if first.Code != 200 {
+		t.Fatalf("align status = %d", first.Code)
+	}
+	// A later page supersedes testPage as page "request".
+	latest := do(t, srv1, http.MethodPost, "/align", testPageLater)
+	if latest.Code != 200 {
+		t.Fatalf("align of the later page: status = %d", latest.Code)
 	}
 	want := do(t, srv1, http.MethodGet, searchURL, "").Body.String()
 	if !strings.Contains(want, `"doc_id"`) {
@@ -298,6 +309,22 @@ func TestWarmRestart(t *testing.T) {
 	}
 	if hits := srv2.pipeline.Gate.Counters()["hits"]; hits == 0 {
 		t.Error("first request after restart missed the warm cache")
+	}
+	// That page was superseded before the restart, yet its first request
+	// after it is a hit with the pre-restart answer; so is the latest page's.
+	if rec.Body.String() != first.Body.String() {
+		t.Errorf("superseded page answer changed across restart:\nbefore: %s\nafter:  %s", first.Body, rec.Body)
+	}
+	hits := srv2.pipeline.Gate.Counters()["hits"]
+	rec = do(t, srv2, http.MethodPost, "/align", testPageLater)
+	if rec.Code != 200 {
+		t.Fatalf("re-align of the later page: status = %d", rec.Code)
+	}
+	if srv2.pipeline.Gate.Counters()["hits"] != hits+1 {
+		t.Error("first request of the latest page after restart missed the warm cache")
+	}
+	if rec.Body.String() != latest.Body.String() {
+		t.Errorf("latest page answer changed across restart:\nbefore: %s\nafter:  %s", latest.Body, rec.Body)
 	}
 
 	// The duplicate alignment did not double-store the document.

@@ -6,17 +6,34 @@ import (
 	"io"
 
 	"briq/internal/document"
+	"briq/internal/serve"
 )
 
-// AlignmentSink receives freshly computed per-document alignments from the
-// facade paths — the write-through seam the persistent store implements.
-// AddDocument is called once per (document, model) identity computed; cache
-// hits are not re-offered, and implementations must dedup replays (the store
-// keys on the same content address as the serve cache). Implementations must
-// be safe for concurrent use and must not fail the alignment: persistence
-// problems are theirs to count and log.
+// PageWrite is one page's complete, ordered document set with its
+// alignments — the unit of every corpus write. Docs and Alignments are
+// parallel. Keys, when non-nil, are the documents' content addresses
+// (serve.KeyOf over HashDocument under the sink's fingerprint) that the
+// caller already derived, so the sink need not hash them again. PageKey is
+// the page-cache address of the request that produced the write, zero when
+// the write did not come from one page request.
+type PageWrite struct {
+	PageID     string
+	Docs       []*document.Document
+	Alignments [][]Alignment
+	Keys       []serve.Key
+	PageKey    serve.Key
+}
+
+// AlignmentSink receives freshly aligned pages from the facade paths — the
+// write-through seam the persistent store implements. WritePage makes the
+// page's document set exactly w.Docs: documents of an earlier version of the
+// page that are absent from w leave the corpus. A page request answered from
+// the page cache is not re-offered; a corpus call offers every page it
+// touched, cached documents included. Implementations must be safe for
+// concurrent use and must not fail the alignment: persistence problems are
+// theirs to count and log.
 type AlignmentSink interface {
-	AddDocument(doc *document.Document, alignments []Alignment)
+	WritePage(w PageWrite)
 }
 
 // HashDocumentText writes the paragraph part of a document's content — the

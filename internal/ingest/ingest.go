@@ -9,9 +9,11 @@
 //
 // Re-alignment runs on one shared runtime.Pool, which both bounds memory
 // (one page's miss set in flight at a time) and keeps worker clones warm
-// across pages. Upserts of the same page are serialized on a per-page lock
-// so the store's reuse check and the upsert are atomic with respect to each
-// other; distinct pages proceed concurrently.
+// across pages. Ingests of the same page are serialized on a per-page lock;
+// distinct pages proceed concurrently. The align paths write pages through
+// the same store upsert without that lock, so the reuse check hands its
+// looked-up alignments to the upsert rather than trusting the document to
+// stay live.
 package ingest
 
 import (
@@ -65,6 +67,7 @@ const pageShards = 64
 // unchanged documents. Safe for concurrent use.
 type Ingestor struct {
 	store *store.Store
+	gate  *serve.Engine // warmed with re-aligned documents; nil-safe
 	seg   *document.Segmenter
 	pool  *runtime.Pool
 	locks [pageShards]sync.Mutex
@@ -78,6 +81,7 @@ func New(proto *core.Pipeline, st *store.Store, opts Options) *Ingestor {
 	}
 	return &Ingestor{
 		store: st,
+		gate:  proto.Gate,
 		seg:   seg,
 		pool:  runtime.NewPool(proto, runtime.Options{Workers: opts.Workers}),
 	}
@@ -106,13 +110,18 @@ func (ing *Ingestor) Page(ctx context.Context, pageID, html string) Result {
 	}
 
 	// Fingerprint check: a stored live identity means the whole
-	// classify/filter/resolve chain is skipped for that document.
+	// classify/filter/resolve chain is skipped for that document. The
+	// looked-up alignments still travel with the upsert: a concurrent write
+	// of the page may retract the document before this upsert lands, and it
+	// must then come back with its alignments.
+	keys := make([]serve.Key, len(docs))
 	als := make([][]core.Alignment, len(docs))
 	var missDocs []*document.Document
 	var missIdx []int
 	for i, d := range docs {
-		if stored, ok := ing.store.Alignments(ing.store.DocumentKey(d)); ok {
-			als[i] = nil // reused; UpsertPage keeps the live record
+		keys[i] = ing.store.DocumentKey(d)
+		if stored, ok := ing.store.Alignments(keys[i]); ok {
+			als[i] = stored
 			res.Alignments += len(stored)
 			continue
 		}
@@ -135,7 +144,10 @@ func (ing *Ingestor) Page(ctx context.Context, pageID, html string) Result {
 		}
 	}
 
-	up := ing.store.UpsertPage(pageID, docs, als)
+	up := ing.store.Upsert(core.PageWrite{PageID: pageID, Docs: docs, Alignments: als, Keys: keys})
+	for _, i := range missIdx {
+		ing.gate.Store(keys[i], als[i], core.AlignmentsSize(als[i]))
+	}
 	res.Retracted = up.Retracted
 	res.PersistErrors = up.PersistErrors
 	res.Documents = make([]DocStatus, len(docs))

@@ -1,37 +1,41 @@
-// Package store is the persistent aligned-corpus store: every successful
-// alignment is recorded on disk, content-addressed by the same
-// SHA-256(model fingerprint + content) identity the serve cache uses, and
-// feeds an incrementally-maintained quantity index (quantsearch postings by
-// keyword, unit and value) plus a per-entity facts view as documents are
-// aligned. There is no batch rebuild step: the in-memory index state after
-// any sequence of adds is equivalent to re-indexing the stored corpus from
-// scratch, and a restart replays the log to recover exactly that state —
-// warm-loading the serve cache on the way.
+// Package store is the persistent aligned-corpus store: every aligned page
+// is recorded on disk, content-addressed by the same SHA-256(model
+// fingerprint + content) identity the serve cache uses, and feeds an
+// incrementally-maintained quantity index (quantsearch postings by keyword,
+// unit and value) plus a per-entity facts view. There is no batch rebuild
+// step: the in-memory index state after any sequence of writes is equivalent
+// to re-indexing the stored corpus from scratch, and a restart replays the
+// log to recover exactly that state — warm-loading the serve cache on the
+// way.
 //
-// Re-ingesting a changed page is an upsert (UpsertPage): the page's stale
-// documents are retracted from the index and facts view, unchanged documents
-// are reused byte-for-byte, and the log records which keys each upsert
-// supersedes so replay reconstructs the same latest-wins view. The
-// invariant, gated by tests, is that the incremental state after any
-// ingest/re-ingest sequence is byte-identical (Search and FactsFor output)
-// to a from-scratch alignment of the final corpus.
+// The page is the unit of every write. Upsert — reached by the align sink
+// (WritePage), UpsertPage, AddDocument and the ingest path alike — replaces
+// a page's document set: stale documents are retracted from the index and
+// facts view, unchanged documents are kept byte-for-byte, and the log
+// records which keys each upsert supersedes so replay reconstructs the same
+// latest-wins view. The invariant, gated by tests, is that the incremental
+// state after any write sequence is byte-identical (Search and FactsFor
+// output) to a from-scratch build of the final corpus.
 //
 // The on-disk format is an append-only NDJSON log (corpus.ndjson) beside a
 // meta.json recording the model fingerprint. Appends are synchronous with
-// alignment but never fail it: persistence errors are counted and logged,
-// and a torn final line (crash mid-append) is skipped on replay. A torn
-// supersede record leaves the previous page version fully intact — the
-// retraction and the first fresh document travel on one line.
+// alignment but never fail it: persistence errors are counted and logged. A
+// torn final line (crash mid-append) is skipped on replay and cut off before
+// the next append, so the first record after a restart starts on a line of
+// its own. A torn supersede record leaves the previous page version fully
+// intact — the retraction and the first fresh document travel on one line.
 package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -57,11 +61,11 @@ var ErrNotStore = errors.New("store: directory is not a store (no meta.json)")
 const (
 	logName  = "corpus.ndjson"
 	metaName = "meta.json"
-	// version 2: per-part document identity (serve.DocKeyOf) changed every
-	// document key, and records gained supersedes/page_docs upsert fields.
-	// Version-1 stores are refused rather than silently re-aligned under
-	// mismatched keys.
-	version = 2
+	// version 3: the log holds only doc and retract records, written by
+	// whole-page upserts, and align upserts carry the page_key that warms
+	// the page cache on replay. Older stores are refused rather than
+	// replayed under a record format they were not written in.
+	version = 3
 )
 
 // Options configures Open.
@@ -73,8 +77,8 @@ type Options struct {
 	// "" adopts the fingerprint recorded in an existing directory (offline
 	// readers); a non-"" value must match the directory's meta.json.
 	Fingerprint string
-	// Gate, when non-nil, is warm-loaded with the replayed alignments on
-	// Open and hooked for write-through of page-level cache stores.
+	// Gate, when non-nil, is warm-loaded on Open with the replayed document
+	// alignments and with the page answers of align upserts.
 	Gate *serve.Engine
 	// Logf receives non-fatal store problems (persist errors, skipped
 	// replay lines). nil discards.
@@ -92,9 +96,8 @@ type Store struct {
 	logF  *os.File // append handle; nil in memory mode
 	index *quantsearch.Index
 	view  *facts.View
-	seen  map[serve.Key]bool      // live record keys (doc + page cache)
 	docs  map[serve.Key]*docState // live document records
-	pages map[string][]serve.Key  // page ID → final ordered doc keys
+	pages map[string][]serve.Key  // page ID → live doc keys in page order
 
 	// firstPersistErr logs the first failed append through the standard
 	// logger exactly once, so silent data loss is visible even when
@@ -108,7 +111,6 @@ type Store struct {
 // everything needed to serve it, re-attribute its tables, or retract it.
 type docState struct {
 	docID   string
-	pageID  string
 	als     []core.Alignment
 	entries []quantsearch.Entry
 	facts   []facts.Fact
@@ -117,13 +119,10 @@ type docState struct {
 
 type counters struct {
 	documents     int64 // doc records accepted (fresh + replayed)
-	duplicates    int64 // AddDocument calls dropped as already stored
-	cacheRecords  int64 // page-level cache records (fresh + replayed)
 	warmDocuments int64 // doc records replayed from disk at Open
-	warmCache     int64 // cache records replayed from disk at Open
 	replaySkipped int64 // undecodable/torn log lines skipped at Open
 	persistErrors int64 // appends that failed (state kept in memory)
-	upsertedPages int64 // UpsertPage calls accepted
+	upsertedPages int64 // page upserts accepted
 	retractedDocs int64 // stale documents retracted by upserts (incl. replay)
 
 	// Query counters are atomic so concurrent reads share the RLock.
@@ -131,18 +130,18 @@ type counters struct {
 	factsQueries atomic.Int64
 }
 
-// record is one NDJSON log line. Kind "doc" is a stored document (optionally
-// carrying upsert fields), "cache" a page-level serve-cache entry, "retract"
-// a pure retraction (an upsert that removed documents without adding any).
+// record is one NDJSON log line. Kind "doc" is a stored document, "retract"
+// an upsert that added no document (a pure retraction or reorder).
 //
 // Upsert atomicity rides on line atomicity: Supersedes travels on the FIRST
-// fresh record of an upsert (or on a bare "retract" record), so a torn line
-// means neither the retraction nor the addition applied and the previous
-// page version replays intact. PageDocs — the page's final ordered document
-// keys — travels on every upsert-written record; replay re-walks that order
-// so shared-table attribution matches a from-scratch build.
+// record of an upsert, so a torn line means neither the retraction nor the
+// addition applied and the previous page version replays intact. PageDocs —
+// the page's final ordered document keys — travels on every record; replay
+// re-walks that order so shared-table attribution matches a from-scratch
+// build. PageKey travels on the LAST record of an align upsert: once it
+// replays, the whole page is live and its answer can warm the page cache.
 type record struct {
-	Kind       string              `json:"kind"` // "doc" | "cache" | "retract"
+	Kind       string              `json:"kind"` // "doc" | "retract"
 	Key        string              `json:"key,omitempty"`
 	DocID      string              `json:"doc_id,omitempty"`
 	PageID     string              `json:"page_id,omitempty"`
@@ -151,6 +150,7 @@ type record struct {
 	Facts      []facts.Fact        `json:"facts,omitempty"`
 	Supersedes []string            `json:"supersedes,omitempty"` // doc keys this record retracts
 	PageDocs   []string            `json:"page_docs,omitempty"`  // PageID's final ordered doc keys
+	PageKey    string              `json:"page_key,omitempty"`   // page-cache key of the align request
 }
 
 type meta struct {
@@ -158,9 +158,10 @@ type meta struct {
 	Fingerprint string `json:"fingerprint"`
 }
 
-// Open opens (or creates) the store, replays the log into the quantity
-// index, facts view and — when a Gate is given — the serve cache, and hooks
-// the gate for write-through. Close releases the append handle.
+// Open opens (or creates) the store and replays the log into the quantity
+// index, facts view and — when a Gate is given — the serve cache. A writer
+// (non-"" Fingerprint) first cuts a torn final line off the log. Close
+// releases the append handle.
 func Open(opts Options) (*Store, error) {
 	s := &Store{
 		dir:   opts.Dir,
@@ -169,7 +170,6 @@ func Open(opts Options) (*Store, error) {
 		logf:  opts.Logf,
 		index: quantsearch.NewIndex(),
 		view:  facts.NewView(),
-		seen:  make(map[serve.Key]bool),
 		docs:  make(map[serve.Key]*docState),
 		pages: make(map[string][]serve.Key),
 	}
@@ -194,7 +194,7 @@ func Open(opts Options) (*Store, error) {
 		if err := s.checkMeta(); err != nil {
 			return nil, err
 		}
-		if err := s.replay(); err != nil {
+		if err := s.replay(opts.Fingerprint != ""); err != nil {
 			return nil, err
 		}
 		f, err := os.OpenFile(filepath.Join(opts.Dir, logName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -202,10 +202,6 @@ func Open(opts Options) (*Store, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 		s.logF = f
-	}
-	// Hook after replay: replay's own Gate.Store calls must not re-enter.
-	if s.gate != nil {
-		s.gate.SetOnStore(s.cacheStored)
 	}
 	return s, nil
 }
@@ -222,7 +218,7 @@ func (s *Store) checkMeta() error {
 			return fmt.Errorf("store: bad %s: %w", metaName, err)
 		}
 		if m.Version != version {
-			return fmt.Errorf("store: %s version %d, want %d (document identity changed; re-align into a fresh directory)",
+			return fmt.Errorf("store: %s version %d, want %d (record format changed; re-align into a fresh directory)",
 				metaName, m.Version, version)
 		}
 		if s.fp == "" {
@@ -246,11 +242,15 @@ func (s *Store) checkMeta() error {
 }
 
 // replay streams the log, rebuilding in-memory state and warming the gate.
-// Undecodable lines (torn final append after a crash) are counted and
-// skipped. Supersede records re-apply their retractions so the final state
-// is the latest-wins view of every page.
-func (s *Store) replay() error {
-	f, err := os.Open(filepath.Join(s.dir, logName))
+// Undecodable lines are counted and skipped. Supersede records re-apply
+// their retractions so the final state is the latest-wins view of every
+// page. A final line without its newline is a torn append that was never
+// acknowledged: it is skipped, and with truncate set the log is cut back to
+// the end of its last complete line, so the next append cannot be glued to
+// the fragment.
+func (s *Store) replay(truncate bool) error {
+	path := filepath.Join(s.dir, logName)
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil
 	}
@@ -258,76 +258,126 @@ func (s *Store) replay() error {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
 
+	var complete int64 // end of the last newline-terminated line
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
+	sc.Split(func(data []byte, _ bool) (int, []byte, error) {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			complete += int64(i + 1)
+			return i + 1, data[:i], nil
+		}
+		return 0, nil, nil // an unterminated tail is never returned
+	})
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var r record
-		if err := json.Unmarshal(line, &r); err != nil {
-			s.c.replaySkipped++
-			s.logf("store: skipping undecodable log line: %v", err)
-			continue
-		}
-		if r.Kind == "retract" {
-			// Pure retraction: no key of its own.
-			s.applyRetract(r.Supersedes)
-			s.setPageOrder(r.PageID, r.PageDocs)
-			continue
-		}
-		key, err := serve.ParseKey(r.Key)
-		if err != nil {
-			s.c.replaySkipped++
-			s.logf("store: skipping log line: %v", err)
-			continue
-		}
-		als := FromWire(r.Alignments)
-		switch r.Kind {
-		case "doc":
-			// Retraction first: the superseded keys are never the record's
-			// own (an upsert's fresh docs are disjoint from its stale ones).
-			s.applyRetract(r.Supersedes)
-			if s.seen[key] {
-				continue
-			}
-			s.registerDoc(key, &docState{
-				docID:   r.DocID,
-				pageID:  r.PageID,
-				als:     als,
-				entries: r.Entries,
-				facts:   r.Facts,
-				tables:  tablesOf(r.Entries),
-			})
-			s.c.warmDocuments++
-			s.gate.Store(key, als, core.AlignmentsSize(als))
-			if len(r.PageDocs) > 0 {
-				s.setPageOrder(r.PageID, r.PageDocs)
-			} else {
-				// Pre-upsert record shape: index directly in log order.
-				s.index.AddEntries(r.Entries)
-			}
-		case "cache":
-			if s.seen[key] {
-				continue
-			}
-			s.seen[key] = true
-			s.c.cacheRecords++
-			s.c.warmCache++
-			s.gate.Store(key, als, core.AlignmentsSize(als))
-		default:
-			s.c.replaySkipped++
-			s.logf("store: skipping log line with unknown kind %q", r.Kind)
+		if line := sc.Bytes(); len(line) > 0 {
+			s.replayLine(line)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("store: replaying log: %w", err)
 	}
+	if torn := fi.Size() - complete; torn > 0 {
+		s.skip("torn final log line (%d bytes)", torn)
+		if truncate {
+			if err := os.Truncate(path, complete); err != nil {
+				return fmt.Errorf("store: cutting torn log tail: %w", err)
+			}
+		}
+	}
 	// One batch sort for the whole replay instead of per-record inserts.
 	s.index.EnsureValueOrder()
 	return nil
+}
+
+// replayLine applies one complete log line.
+func (s *Store) replayLine(line []byte) {
+	var r record
+	if err := json.Unmarshal(line, &r); err != nil {
+		s.skip("undecodable log line: %v", err)
+		return
+	}
+	var key serve.Key
+	switch r.Kind {
+	case "doc":
+		var err error
+		if key, err = serve.ParseKey(r.Key); err != nil {
+			s.skip("log line: %v", err)
+			return
+		}
+	case "retract":
+	default:
+		s.skip("log line with unknown kind %q", r.Kind)
+		return
+	}
+	// Retraction first: the superseded keys are never the record's own (an
+	// upsert's fresh docs are disjoint from its stale ones).
+	for _, k := range s.parseKeys(r.Supersedes) {
+		s.retractDoc(k)
+	}
+	if _, live := s.docs[key]; r.Kind == "doc" && !live {
+		als := FromWire(r.Alignments)
+		s.registerDoc(key, &docState{
+			docID:   r.DocID,
+			als:     als,
+			entries: r.Entries,
+			facts:   r.Facts,
+			tables:  tablesOf(r.Entries),
+		})
+		s.c.warmDocuments++
+		s.gate.Store(key, als, core.AlignmentsSize(als))
+	}
+	// The page list names live documents only. One is missing when a record
+	// of its upsert was skipped, and the page answer is then not warmed.
+	var keys []serve.Key
+	for _, k := range s.parseKeys(r.PageDocs) {
+		if _, live := s.docs[k]; live {
+			keys = append(keys, k)
+		}
+	}
+	s.installPage(r.PageID, keys)
+	if r.PageKey != "" && len(keys) == len(r.PageDocs) {
+		s.warmPage(r.PageKey, keys)
+	}
+}
+
+// skip counts and logs one log item replay cannot apply.
+func (s *Store) skip(format string, args ...any) {
+	s.c.replaySkipped++
+	s.logf("store: skipping "+format, args...)
+}
+
+// parseKeys decodes logged keys, skipping undecodable ones.
+func (s *Store) parseKeys(strs []string) []serve.Key {
+	keys := make([]serve.Key, 0, len(strs))
+	for _, ks := range strs {
+		if k, err := serve.ParseKey(ks); err != nil {
+			s.skip("bad key: %v", err)
+		} else {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// warmPage stores a replayed align upsert's page answer — the page's
+// document alignments concatenated in page order, as the page request
+// returned them — under its page-cache key.
+func (s *Store) warmPage(keyStr string, keys []serve.Key) {
+	pageKey, err := serve.ParseKey(keyStr)
+	if err != nil {
+		s.skip("bad page_key: %v", err)
+		return
+	}
+	var als []core.Alignment
+	for _, k := range keys {
+		als = append(als, s.docs[k].als...)
+	}
+	s.gate.Store(pageKey, als, core.AlignmentsSize(als))
 }
 
 // Close releases the append handle. The in-memory index stays usable.
@@ -371,12 +421,11 @@ func (s *Store) Alignments(key serve.Key) ([]core.Alignment, bool) {
 	return ds.als, true
 }
 
-// docStateOf derives the stored shape of one freshly aligned document.
+// docStateOf derives the stored shape of one document.
 func docStateOf(doc *document.Document, alignments []core.Alignment) *docState {
 	entries := quantsearch.EntriesFromDocument(doc)
 	return &docState{
 		docID:   doc.ID,
-		pageID:  doc.PageID,
 		als:     alignments,
 		entries: entries,
 		facts:   facts.Extract(doc, alignments),
@@ -397,31 +446,17 @@ func tablesOf(entries []quantsearch.Entry) []string {
 }
 
 // registerDoc records a live document under the held write lock: identity
-// maps, page membership (kept in arrival order for pages maintained via
-// AddDocument), facts, counters. Index entries are the caller's — their
-// order matters for shared-table attribution.
+// map, facts, counters. Index entries and page order are installPage's —
+// their order matters for shared-table attribution.
 func (s *Store) registerDoc(key serve.Key, ds *docState) {
-	s.seen[key] = true
 	s.docs[key] = ds
-	if ds.pageID != "" && !containsKey(s.pages[ds.pageID], key) {
-		s.pages[ds.pageID] = append(s.pages[ds.pageID], key)
-	}
 	s.view.Add(ds.facts)
 	s.c.documents++
 }
 
-func containsKey(keys []serve.Key, k serve.Key) bool {
-	for _, have := range keys {
-		if have == k {
-			return true
-		}
-	}
-	return false
-}
-
 // retractDoc removes one live document under the held write lock: its
 // tables leave the index (table IDs are page-scoped, so only same-page
-// documents can share them — the upsert's final-order walk re-adds entries
+// documents can share them — installPage's final-order walk re-adds entries
 // for surviving documents), its facts leave the view, and its key becomes
 // free so a later re-ingest of identical content is accepted again.
 func (s *Store) retractDoc(key serve.Key) {
@@ -432,108 +467,63 @@ func (s *Store) retractDoc(key serve.Key) {
 	s.index.RemoveTables(ds.tables)
 	s.view.Remove(ds.facts)
 	delete(s.docs, key)
-	delete(s.seen, key)
 	s.c.retractedDocs++
 }
 
-func (s *Store) applyRetract(keyStrs []string) {
-	for _, ks := range keyStrs {
-		k, err := serve.ParseKey(ks)
-		if err != nil {
-			s.c.replaySkipped++
-			s.logf("store: skipping bad supersedes key: %v", err)
-			continue
-		}
-		s.retractDoc(k)
-	}
-}
-
-// setPageOrder installs a page's final document order and re-walks it,
-// re-indexing every present document's entries in order. The walk is what
-// keeps shared-table attribution identical to a from-scratch build: a table
-// referenced by several documents of the page is indexed from the first
-// document in final page order, whichever upsert or replay step ran last.
-func (s *Store) setPageOrder(pageID string, docKeys []string) {
-	keys := make([]serve.Key, 0, len(docKeys))
-	for _, ks := range docKeys {
-		k, err := serve.ParseKey(ks)
-		if err != nil {
-			s.c.replaySkipped++
-			s.logf("store: skipping bad page_docs key: %v", err)
-			continue
-		}
-		keys = append(keys, k)
-	}
+// installPage sets a page's final order of live document keys and
+// re-attributes the page's tables along it: a table referenced by several
+// documents of the page is indexed from the first one in final page order —
+// exactly what a from-scratch build of the final corpus does. When the old
+// order is a prefix of the new one (a cold page, or documents appended)
+// only the appended documents need indexing; otherwise every document's
+// tables leave the index and re-enter in order. Removal must complete for
+// the whole page before any re-add, or a shared table re-added for an early
+// document would be tombstoned again when a later document's old tables are
+// dropped.
+func (s *Store) installPage(pageID string, keys []serve.Key) {
+	old := s.pages[pageID]
 	if len(keys) == 0 {
 		delete(s.pages, pageID)
 	} else {
 		s.pages[pageID] = keys
 	}
-	s.reindexPage(keys)
-}
-
-// reindexPage re-attributes a page's tables along its final document order:
-// every present document's tables leave the index, then re-enter in order, so
-// a table shared by several documents of the page is always presented by the
-// first one in final page order — exactly what a from-scratch build of the
-// final corpus does. Removal must complete for the whole page before any
-// re-add, or a shared table re-added for an early document would be
-// tombstoned again when a later document's old tables are dropped.
-func (s *Store) reindexPage(keys []serve.Key) {
-	for _, k := range keys {
-		if ds, ok := s.docs[k]; ok {
-			s.index.RemoveTables(ds.tables)
+	from := len(old)
+	if from > len(keys) || !slices.Equal(old, keys[:from]) {
+		from = 0
+		for _, k := range keys {
+			if ds, ok := s.docs[k]; ok {
+				s.index.RemoveTables(ds.tables)
+			}
 		}
 	}
-	for _, k := range keys {
+	for _, k := range keys[from:] {
 		if ds, ok := s.docs[k]; ok {
 			s.index.AddEntries(ds.entries)
 		}
 	}
 }
 
-// keysEqual reports whether a page's live key list already matches the
-// upsert's, in order — the no-op re-crawl fast path.
-func keysEqual(a, b []serve.Key) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// AddDocument implements core.AlignmentSink: it records one freshly aligned
-// document — alignments, derived index entries, derived facts — and feeds
-// the incremental index and facts view. Replays of an already-stored
-// identity are dropped. Persistence failures never fail the alignment.
+// AddDocument records one document as a one-document upsert into its page:
+// the page keeps its other live documents, and this one takes the place of
+// the live version with the same document ID, else joins the page at the
+// end. Re-adding a live identity changes nothing.
 func (s *Store) AddDocument(doc *document.Document, alignments []core.Alignment) {
-	key := s.DocumentKey(doc)
-	ds := docStateOf(doc, alignments)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.seen[key] {
-		s.c.duplicates++
-		return
-	}
-	s.registerDoc(key, ds)
-	s.index.AddEntries(ds.entries)
-	s.append(record{
-		Kind:       "doc",
-		Key:        key.String(),
-		DocID:      ds.docID,
-		PageID:     ds.pageID,
-		Alignments: ToWire(alignments),
-		Entries:    ds.entries,
-		Facts:      ds.facts,
-	})
+	s.upsert(core.PageWrite{
+		PageID:     doc.PageID,
+		Docs:       []*document.Document{doc},
+		Alignments: [][]core.Alignment{alignments},
+	}, true)
 }
 
-// PageUpsert reports what one UpsertPage call did.
+// UpsertPage is Upsert without precomputed keys.
+func (s *Store) UpsertPage(pageID string, docs []*document.Document, alignments [][]core.Alignment) PageUpsert {
+	return s.Upsert(core.PageWrite{PageID: pageID, Docs: docs, Alignments: alignments})
+}
+
+// WritePage implements core.AlignmentSink.
+func (s *Store) WritePage(w core.PageWrite) { s.Upsert(w) }
+
+// PageUpsert reports what one upsert did.
 type PageUpsert struct {
 	// Reused is per input document: true when a live record with the same
 	// content identity already existed and was kept untouched.
@@ -545,148 +535,137 @@ type PageUpsert struct {
 	PersistErrors int64
 }
 
-// UpsertPage replaces a page's document set with the given documents, in
-// order. Documents whose content identity is already live are reused —
-// alignments[i] is ignored for them and may be nil, which is how the ingest
-// path skips re-alignment entirely. Stale documents (live for this page but
-// absent from the new set) are retracted from the index and facts view, and
-// the log records the retraction on the upsert's first line so replay
-// reconstructs the same latest-wins state. An empty docs slice retracts the
-// whole page.
-//
-// Callers that pass alignments[i] == nil must have confirmed the identity
-// via Alignments first and must serialize upserts of the same page (the
-// ingest path holds a per-page lock); a nil-alignment document that lost a
-// race is registered with no alignments rather than dropped.
-func (s *Store) UpsertPage(pageID string, docs []*document.Document, alignments [][]core.Alignment) PageUpsert {
-	keys := make([]serve.Key, len(docs))
-	states := make([]*docState, len(docs))
-	for i, d := range docs {
-		keys[i] = s.DocumentKey(d)
-		if alignments[i] != nil {
-			states[i] = docStateOf(d, alignments[i])
+// Upsert is the store's one write path. It replaces page w.PageID's
+// document set with w.Docs, in order; every document's PageID must be
+// w.PageID. A document whose content identity is already live keeps its
+// record, and its w.Alignments entry is not used; any other document is
+// recorded with its entry. Stale documents — live for this page but absent
+// from w.Docs — are retracted from the index and facts view, and the log
+// records the retraction on the upsert's first line so replay reconstructs
+// the same latest-wins state. A page whose documents did not change writes
+// nothing. An empty w.Docs retracts the whole page. Persistence failures
+// never fail the caller.
+func (s *Store) Upsert(w core.PageWrite) PageUpsert { return s.upsert(w, false) }
+
+// slot is one document position of a page write. doc, als and st are set
+// only for a document that was not live when the write began.
+type slot struct {
+	key serve.Key
+	doc *document.Document
+	als []core.Alignment
+	st  *docState
+}
+
+// upsert implements Upsert; with join set, w holds one document that joins
+// the page's live set instead of replacing it (AddDocument).
+func (s *Store) upsert(w core.PageWrite, join bool) PageUpsert {
+	slots := make([]slot, len(w.Docs))
+	for i, d := range w.Docs {
+		slots[i] = slot{doc: d, als: w.Alignments[i]}
+		if w.Keys != nil {
+			slots[i].key = w.Keys[i]
+		} else {
+			slots[i].key = s.DocumentKey(d)
 		}
 	}
-	keyStrs := make([]string, len(keys))
-	for i, k := range keys {
-		keyStrs[i] = k.String()
+	// Derive the stored shape outside the write lock, and only for
+	// documents that are not live. One retracted in between is derived
+	// under the lock below.
+	var fresh []int
+	s.mu.RLock()
+	for i := range slots {
+		if _, live := s.docs[slots[i].key]; !live {
+			fresh = append(fresh, i)
+		}
+	}
+	s.mu.RUnlock()
+	for _, i := range fresh {
+		slots[i].st = docStateOf(slots[i].doc, slots[i].als)
 	}
 
-	up := PageUpsert{Reused: make([]bool, len(docs))}
-	var warm []int // fresh docs to offer the serve cache after unlock
-
 	s.mu.Lock()
-	startErrs := s.c.persistErrors
-
-	// The no-op re-crawl fast path: same documents in the same order means
-	// nothing to retract, register, re-attribute, or log.
-	if keysEqual(s.pages[pageID], keys) {
+	defer s.mu.Unlock()
+	old := s.pages[w.PageID]
+	if join {
+		page := make([]slot, len(old))
+		for i, k := range old {
+			page[i].key = k
+		}
+		at := slices.IndexFunc(old, func(k serve.Key) bool { return s.docs[k].docID == slots[0].doc.ID })
+		if at < 0 {
+			page = append(page, slots[0])
+		} else {
+			page[at] = slots[0]
+		}
+		slots = page
+	}
+	keys := make([]serve.Key, len(slots))
+	for i := range slots {
+		keys[i] = slots[i].key
+	}
+	up := PageUpsert{Reused: make([]bool, len(slots))}
+	s.c.upsertedPages++
+	if slices.Equal(old, keys) {
 		for i := range up.Reused {
 			up.Reused[i] = true
 		}
-		s.c.upsertedPages++
-		s.mu.Unlock()
 		return up
 	}
+	startErrs := s.c.persistErrors
 
-	// Stale = live for this page but absent from the new set.
-	final := make(map[serve.Key]bool, len(keys))
-	for _, k := range keys {
-		final[k] = true
-	}
-	var staleStrs []string
-	for _, k := range s.pages[pageID] {
-		if !final[k] {
-			staleStrs = append(staleStrs, k.String())
+	var stale []string
+	for _, k := range old {
+		if !slices.Contains(keys, k) {
+			stale = append(stale, k.String())
+			s.retractDoc(k)
 		}
 	}
-	s.applyRetract(staleStrs)
-	up.Retracted = len(staleStrs)
+	up.Retracted = len(stale)
 
-	// Register fresh documents and persist. Supersedes rides on the first
-	// fresh record so retraction and addition share one atomic log line; if
-	// no record was written but the page still changed — a pure retraction or
-	// a pure reorder — a bare "retract" record carries the retraction and the
-	// new order.
-	carrySupersedes := staleStrs
-	wrote := false
-	for i := range docs {
-		if _, ok := s.docs[keys[i]]; ok {
+	// Register fresh documents. Supersedes rides on the first record so
+	// retraction and addition share one atomic log line; if no document is
+	// fresh but the page still changed — a pure retraction or a pure
+	// reorder — a bare "retract" record carries the retraction and the new
+	// order. The page key rides on the last record.
+	pageDocs := make([]string, len(keys))
+	for i, k := range keys {
+		pageDocs[i] = k.String()
+	}
+	var recs []record
+	for i, sl := range slots {
+		if _, live := s.docs[sl.key]; live {
 			up.Reused[i] = true
 			continue
 		}
-		st := states[i]
-		if st == nil {
-			st = docStateOf(docs[i], nil)
+		if sl.st == nil {
+			sl.st = docStateOf(sl.doc, sl.als)
 		}
-		s.registerDoc(keys[i], st)
-		warm = append(warm, i)
-		s.append(record{
+		s.registerDoc(sl.key, sl.st)
+		recs = append(recs, record{
 			Kind:       "doc",
-			Key:        keyStrs[i],
-			DocID:      st.docID,
-			PageID:     pageID,
-			Alignments: ToWire(st.als),
-			Entries:    st.entries,
-			Facts:      st.facts,
-			Supersedes: carrySupersedes,
-			PageDocs:   keyStrs,
+			Key:        pageDocs[i],
+			DocID:      sl.st.docID,
+			PageID:     w.PageID,
+			Alignments: ToWire(sl.st.als),
+			Entries:    sl.st.entries,
+			Facts:      sl.st.facts,
+			PageDocs:   pageDocs,
 		})
-		carrySupersedes = nil
-		wrote = true
 	}
-	if !wrote {
-		s.append(record{
-			Kind:       "retract",
-			PageID:     pageID,
-			Supersedes: carrySupersedes,
-			PageDocs:   keyStrs,
-		})
+	if len(recs) == 0 {
+		recs = append(recs, record{Kind: "retract", PageID: w.PageID, PageDocs: pageDocs})
+	}
+	recs[0].Supersedes = stale
+	if w.PageKey != (serve.Key{}) {
+		recs[len(recs)-1].PageKey = w.PageKey.String()
+	}
+	for _, r := range recs {
+		s.append(r)
 	}
 
-	// Install the final order and re-attribute the page's tables along it so
-	// shared-table attribution matches a from-scratch build of the final
-	// corpus — including when a surviving document moved ahead of the one
-	// that used to present a shared table.
-	if len(keys) == 0 {
-		delete(s.pages, pageID)
-	} else {
-		s.pages[pageID] = append([]serve.Key(nil), keys...)
-	}
-	s.reindexPage(keys)
-	s.c.upsertedPages++
+	s.installPage(w.PageID, keys)
 	up.PersistErrors = s.c.persistErrors - startErrs
-	s.mu.Unlock()
-
-	// Warm the serve cache outside the lock (the write-through hook takes
-	// it; the seen check drops the re-offer).
-	if s.gate != nil {
-		for _, i := range warm {
-			if ds, ok := s.Alignments(keys[i]); ok {
-				s.gate.Store(keys[i], ds, core.AlignmentsSize(ds))
-			}
-		}
-	}
 	return up
-}
-
-// cacheStored is the serve write-through hook: page-level results stored in
-// the cache are persisted so a restart can warm them back. Document-level
-// stores arrive here too but were already recorded by AddDocument or
-// UpsertPage (both run before the gate store), so the seen check drops them.
-func (s *Store) cacheStored(key serve.Key, v any, _ int64) {
-	als, ok := v.([]core.Alignment)
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.seen[key] {
-		return
-	}
-	s.seen[key] = true
-	s.c.cacheRecords++
-	s.append(record{Kind: "cache", Key: key.String(), Alignments: ToWire(als)})
 }
 
 // append writes one record under the held lock. Failures are counted and
@@ -746,8 +725,7 @@ func (s *Store) Entities() []string {
 // counterNames is the stable store-counter schema; the /metrics golden test
 // keys on it. Keep CounterNames and Counters in sync.
 var counterNames = []string{
-	"documents", "duplicate_documents", "cache_records",
-	"warm_documents", "warm_cache_records", "replay_skipped",
+	"documents", "warm_documents", "replay_skipped",
 	"persist_errors", "searches", "facts_queries",
 	"upserted_pages", "retracted_documents", "live_documents",
 	"index_entries", "fact_entities", "facts", "log_bytes", "persistent",
@@ -770,10 +748,7 @@ func (s *Store) Counters() map[string]int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out["documents"] = s.c.documents
-	out["duplicate_documents"] = s.c.duplicates
-	out["cache_records"] = s.c.cacheRecords
 	out["warm_documents"] = s.c.warmDocuments
-	out["warm_cache_records"] = s.c.warmCache
 	out["replay_skipped"] = s.c.replaySkipped
 	out["persist_errors"] = s.c.persistErrors
 	out["searches"] = s.c.searches.Load()

@@ -2,9 +2,11 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -193,6 +195,20 @@ func TestFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestOlderVersionRefused: a directory written under an older record
+// format is refused, not replayed under the current one.
+func TestOlderVersionRefused(t *testing.T) {
+	dir := t.TempDir()
+	old := []byte(`{"version": 2, "fingerprint": "` + testFP + `"}`)
+	if err := os.WriteFile(filepath.Join(dir, "meta.json"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(Options{Dir: dir, Fingerprint: testFP})
+	if err == nil || !strings.Contains(err.Error(), "version 2, want 3") {
+		t.Fatalf("err = %v, want a version refusal", err)
+	}
+}
+
 // TestConcurrentAddAndSearch exercises the lazy value-order maintenance
 // under concurrency (run with -race): adds leave the index's value postings
 // dirty, Search restores order under the write lock and queries under the
@@ -224,13 +240,7 @@ func TestConcurrentAddAndSearch(t *testing.T) {
 	wg.Wait()
 
 	// Quiesced, results must match a from-scratch rebuild of the same docs.
-	rebuilt, err := Open(Options{Fingerprint: testFP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, doc := range docs {
-		rebuilt.AddDocument(doc, als[i])
-	}
+	rebuilt := buildScratch(docs, als)
 	for _, q := range battery() {
 		if !reflect.DeepEqual(s.Search(q), rebuilt.Search(q)) {
 			t.Fatalf("query %+v: concurrent-add store disagrees with rebuild", q)
@@ -286,8 +296,8 @@ func TestDuplicateDocumentDropped(t *testing.T) {
 	size := s.Counters()["index_entries"]
 	s.AddDocument(docs[0], als[0])
 	c := s.Counters()
-	if c["duplicate_documents"] != 1 || c["documents"] != 1 {
-		t.Errorf("counters = %v, want 1 duplicate, 1 document", c)
+	if c["documents"] != 1 || c["live_documents"] != 1 {
+		t.Errorf("counters = %v, want 1 document", c)
 	}
 	if c["index_entries"] != size {
 		t.Error("duplicate add changed the index")
@@ -297,47 +307,71 @@ func TestDuplicateDocumentDropped(t *testing.T) {
 	}
 }
 
-func TestCacheWriteThrough(t *testing.T) {
-	docs, als := alignedCorpus(t, 11, 2)
+// TestPageKeyWarmth: an align upsert's page key comes back warm after a
+// restart for every version of the page the log holds — the latest and a
+// superseded one — each with the answer its page request returned, and
+// the document keys of the latest version are warm too.
+func TestPageKeyWarmth(t *testing.T) {
+	docs, als := alignedCorpus(t, 11, 3)
+	groups := groupByPage(docs, als)
+	if len(groups) < 2 {
+		t.Fatalf("corpus has %d pages, want at least 2", len(groups))
+	}
 	dir := t.TempDir()
 	gate := serve.NewEngine(serve.Config{Fingerprint: testFP, CacheBytes: 16 << 20})
 	s, err := Open(Options{Dir: dir, Fingerprint: testFP, Gate: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// A document offered to the sink first, then stored in the gate (the
-	// facade's corpus-path order): no duplicate cache record.
-	s.AddDocument(docs[0], als[0])
-	gate.Store(s.DocumentKey(docs[0]), als[0], core.AlignmentsSize(als[0]))
-	if got := s.Counters()["cache_records"]; got != 0 {
-		t.Errorf("cache_records = %d after doc-keyed store, want 0", got)
+	// Two versions of one page, written the way the align path writes them:
+	// the same page ID, each version's own documents and page key.
+	type version struct {
+		key  serve.Key
+		want []core.Alignment
 	}
-
-	// A page-level store (no prior doc record) writes through.
-	pageKey := gate.PageKey("p0", "<html>page</html>")
-	gate.Store(pageKey, als[1], core.AlignmentsSize(als[1]))
-	if got := s.Counters()["cache_records"]; got != 1 {
-		t.Errorf("cache_records = %d, want 1", got)
+	var versions []version
+	for i, g := range groups[:2] {
+		key := gate.PageKey("request", fmt.Sprintf("<html>version %d</html>", i))
+		var pageDocs []*document.Document
+		var pageAls [][]core.Alignment
+		var want []core.Alignment
+		for j, d := range g.docs {
+			d2 := *d
+			d2.PageID = "request"
+			pageDocs = append(pageDocs, &d2)
+			pageAls = append(pageAls, g.als[j])
+			want = append(want, g.als[j]...)
+		}
+		s.WritePage(core.PageWrite{PageID: "request", Docs: pageDocs, Alignments: pageAls, PageKey: key})
+		versions = append(versions, version{key, want})
+	}
+	if c := s.Counters(); c["live_documents"] != int64(len(groups[1].docs)) {
+		t.Errorf("live_documents = %d, want the latest version's %d", c["live_documents"], len(groups[1].docs))
 	}
 	s.Close()
 
-	// Restart: both the doc key and the page key are warm.
 	gate2 := serve.NewEngine(serve.Config{Fingerprint: testFP, CacheBytes: 16 << 20})
 	s2, err := Open(Options{Dir: dir, Fingerprint: testFP, Gate: gate2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, ok := gate2.Lookup(s2.DocumentKey(docs[0])); !ok {
-		t.Error("doc key not warm after restart")
+	for i, v := range versions {
+		got, ok := gate2.Lookup(v.key)
+		if !ok {
+			t.Errorf("version %d: page key not warm after restart", i)
+			continue
+		}
+		if !reflect.DeepEqual(got, v.want) {
+			t.Errorf("version %d: warm page answer differs from the page request's", i)
+		}
 	}
-	if _, ok := gate2.Lookup(pageKey); !ok {
-		t.Error("page key not warm after restart")
-	}
-	c := s2.Counters()
-	if c["warm_cache_records"] != 1 || c["warm_documents"] != 1 {
-		t.Errorf("warm counters = %v", c)
+	for _, d := range groups[1].docs {
+		d2 := *d
+		d2.PageID = "request"
+		if _, ok := gate2.Lookup(s2.DocumentKey(&d2)); !ok {
+			t.Errorf("doc %s not warm after restart", d.ID)
+		}
 	}
 }
 
@@ -358,7 +392,7 @@ func TestNilStoreCounters(t *testing.T) {
 }
 
 // TestSinkIntegration drives the store through the facade seam: a pipeline
-// with Sink + Gate persists fresh computes exactly once.
+// with Sink + Gate persists each page's documents once.
 func TestSinkIntegration(t *testing.T) {
 	docs, _ := alignedCorpus(t, 13, 3)
 	p := core.NewPipeline()
@@ -370,8 +404,11 @@ func TestSinkIntegration(t *testing.T) {
 	defer s.Close()
 	p.Sink = s
 
-	for _, doc := range docs {
-		p.Sink.AddDocument(doc, p.Align(doc))
+	for _, g := range groupByPage(docs, make([][]core.Alignment, len(docs))) {
+		for i, doc := range g.docs {
+			g.als[i] = p.Align(doc)
+		}
+		p.Sink.WritePage(core.PageWrite{PageID: g.id, Docs: g.docs, Alignments: g.als})
 	}
 	c := s.Counters()
 	if c["documents"] != int64(len(docs)) {

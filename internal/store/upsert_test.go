@@ -11,6 +11,8 @@ import (
 
 	"briq/internal/core"
 	"briq/internal/document"
+	"briq/internal/facts"
+	"briq/internal/quantsearch"
 	"briq/internal/serve"
 )
 
@@ -47,22 +49,49 @@ func mutated(d *document.Document) *document.Document {
 
 // mutatePage derives the re-crawl shape of a page: the first document's
 // paragraph changed, the last document dropped (when the page has more than
-// one), the rest byte-identical. mals carries nil for the unchanged documents
-// (the ingest reuse contract — their live records are kept); rebuildAls
-// carries the alignments a from-scratch build of the final corpus would use.
-func mutatePage(g pageGroup) (mdocs []*document.Document, mals, rebuildAls [][]core.Alignment) {
+// one), the rest byte-identical. mals carries every document's alignments,
+// which is also what a from-scratch build of the final corpus uses.
+func mutatePage(g pageGroup) (mdocs []*document.Document, mals [][]core.Alignment) {
 	mdocs = append(mdocs, mutated(g.docs[0]))
 	mals = append(mals, g.als[0])
-	rebuildAls = append(rebuildAls, g.als[0])
 	for i := 1; i < len(g.docs)-1; i++ {
 		mdocs = append(mdocs, g.docs[i])
-		mals = append(mals, nil)
-		rebuildAls = append(rebuildAls, g.als[i])
+		mals = append(mals, g.als[i])
 	}
-	return mdocs, mals, rebuildAls
+	return mdocs, mals
 }
 
-func assertStoreEqual(t *testing.T, got, want *Store, label string) {
+// corpusReader is the read surface assertStoreEqual compares: a Store, or
+// the from-scratch oracle.
+type corpusReader interface {
+	Search(quantsearch.Query) []quantsearch.Result
+	Entities() []string
+	FactsFor(entity string) []facts.Fact
+}
+
+// scratch is the from-scratch oracle: a corpus indexed straight through
+// quantsearch.Index.AddEntries and facts.View.Add in document order, sharing
+// none of the store's write path.
+type scratch struct {
+	index *quantsearch.Index
+	view  *facts.View
+}
+
+func buildScratch(docs []*document.Document, als [][]core.Alignment) *scratch {
+	o := &scratch{index: quantsearch.NewIndex(), view: facts.NewView()}
+	for i, d := range docs {
+		o.index.AddEntries(quantsearch.EntriesFromDocument(d))
+		o.view.Add(facts.Extract(d, als[i]))
+	}
+	o.index.EnsureValueOrder()
+	return o
+}
+
+func (o *scratch) Search(q quantsearch.Query) []quantsearch.Result { return o.index.Search(q) }
+func (o *scratch) Entities() []string                              { return o.view.Entities() }
+func (o *scratch) FactsFor(entity string) []facts.Fact             { return o.view.Entity(entity) }
+
+func assertStoreEqual(t *testing.T, got *Store, want corpusReader, label string) {
 	t.Helper()
 	for i, q := range battery() {
 		if !reflect.DeepEqual(got.Search(q), want.Search(q)) {
@@ -139,7 +168,7 @@ func TestUpsertPageEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range groups {
-		up := s.UpsertPage(g.id, g.docs, make([][]core.Alignment, len(g.docs)))
+		up := s.UpsertPage(g.id, g.docs, g.als)
 		for i, r := range up.Reused {
 			if !r {
 				t.Fatalf("identical re-upsert of %s reports doc %d fresh", g.id, i)
@@ -158,7 +187,7 @@ func TestUpsertPageEquivalence(t *testing.T) {
 	var finalDocs []*document.Document
 	var finalAls [][]core.Alignment
 	for _, g := range groups {
-		mdocs, mals, rebuildAls := mutatePage(g)
+		mdocs, mals := mutatePage(g)
 		up := s.UpsertPage(g.id, mdocs, mals)
 		if up.Reused[0] {
 			t.Fatalf("page %s: mutated document reported reused", g.id)
@@ -176,16 +205,10 @@ func TestUpsertPageEquivalence(t *testing.T) {
 			t.Fatalf("page %s: retracted %d docs, want %d", g.id, up.Retracted, wantRetracted)
 		}
 		finalDocs = append(finalDocs, mdocs...)
-		finalAls = append(finalAls, rebuildAls...)
+		finalAls = append(finalAls, mals...)
 	}
 
-	rebuilt, err := Open(Options{Fingerprint: testFP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range finalDocs {
-		rebuilt.AddDocument(finalDocs[i], finalAls[i])
-	}
+	rebuilt := buildScratch(finalDocs, finalAls)
 	assertStoreEqual(t, s, rebuilt, "after mutated upserts")
 
 	c := s.Counters()
@@ -234,15 +257,13 @@ func TestUpsertPageFlipReaccepts(t *testing.T) {
 	s.UpsertPage(g.id, g.docs, g.als)
 
 	// Crawl B drops the first document.
-	up := s.UpsertPage(g.id, g.docs[1:], make([][]core.Alignment, len(g.docs)-1))
+	up := s.UpsertPage(g.id, g.docs[1:], g.als[1:])
 	if up.Retracted != 1 {
 		t.Fatalf("drop crawl retracted %d, want 1", up.Retracted)
 	}
 
 	// Crawl A again: the dropped document returns, identical content.
-	backAls := make([][]core.Alignment, len(g.docs))
-	backAls[0] = g.als[0]
-	back := s.UpsertPage(g.id, g.docs, backAls)
+	back := s.UpsertPage(g.id, g.docs, g.als)
 	if back.Reused[0] {
 		t.Fatal("re-added document reported reused — retraction left its key seen")
 	}
@@ -252,14 +273,7 @@ func TestUpsertPageFlipReaccepts(t *testing.T) {
 		}
 	}
 
-	rebuilt, err := Open(Options{Fingerprint: testFP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range g.docs {
-		rebuilt.AddDocument(g.docs[i], g.als[i])
-	}
-	assertStoreEqual(t, s, rebuilt, "after A→B→A flip")
+	assertStoreEqual(t, s, buildScratch(g.docs, g.als), "after A→B→A flip")
 }
 
 // TestUpsertPageReorder covers the pure-reorder upsert: same documents, new
@@ -288,7 +302,7 @@ func TestUpsertPageReorder(t *testing.T) {
 			rdocs[i] = g.docs[len(g.docs)-1-i]
 			rals[i] = g.als[len(g.als)-1-i]
 		}
-		up := s.UpsertPage(g.id, rdocs, make([][]core.Alignment, len(rdocs)))
+		up := s.UpsertPage(g.id, rdocs, rals)
 		for i, r := range up.Reused {
 			if !r {
 				t.Fatalf("page %s: reorder reported doc %d fresh", g.id, i)
@@ -301,13 +315,7 @@ func TestUpsertPageReorder(t *testing.T) {
 		finalAls = append(finalAls, rals...)
 	}
 
-	rebuilt, err := Open(Options{Fingerprint: testFP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range finalDocs {
-		rebuilt.AddDocument(finalDocs[i], finalAls[i])
-	}
+	rebuilt := buildScratch(finalDocs, finalAls)
 	assertStoreEqual(t, s, rebuilt, "after reorder upserts")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -356,7 +364,7 @@ func TestUpsertTornSupersede(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mdocs, mals, _ := mutatePage(groups[0])
+	mdocs, mals := mutatePage(groups[0])
 	if up := s2.UpsertPage(groups[0].id, mdocs, mals); up.Retracted == 0 {
 		t.Fatal("mutated upsert retracted nothing — test shape is wrong")
 	}
@@ -421,11 +429,11 @@ func TestConcurrentUpsertSearchReplay(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			s.UpsertPage(g.id, g.docs, g.als)
-			mdocs, mals, rebuildAls := mutatePage(g)
+			mdocs, mals := mutatePage(g)
 			s.UpsertPage(g.id, mdocs, mals)
 			finalMu.Lock()
 			finalDocs = append(finalDocs, mdocs...)
-			finalAls = append(finalAls, rebuildAls...)
+			finalAls = append(finalAls, mals...)
 			finalMu.Unlock()
 		}()
 	}
@@ -443,15 +451,9 @@ func TestConcurrentUpsertSearchReplay(t *testing.T) {
 	}()
 	wg.Wait()
 
-	rebuilt, err := Open(Options{Fingerprint: testFP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// AddDocument order only matters within a page (shared-table attribution);
+	// Document order only matters within a page (shared-table attribution);
 	// finalDocs preserves per-page order even though pages interleaved.
-	for i := range finalDocs {
-		rebuilt.AddDocument(finalDocs[i], finalAls[i])
-	}
+	rebuilt := buildScratch(finalDocs, finalAls)
 	assertStoreEqual(t, s, rebuilt, "quiesced after concurrent upserts")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
