@@ -282,6 +282,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 5s ./internal/forest
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCell$$' -fuzztime 5s ./internal/quantity
 	$(GO) test -run '^$$' -fuzz '^FuzzExtractText$$' -fuzztime 5s ./internal/quantity
+	$(GO) test -run '^$$' -fuzz '^FuzzDocumentParts$$' -fuzztime 5s ./internal/core
 
 # Coverage gate for the classification engine: the flat-forest inference path
 # and the feature extractor are equivalence-critical (the frozen engine's

@@ -44,7 +44,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -295,8 +294,7 @@ func (c *config) buildResolver(p *core.Pipeline) resolve.Resolver {
 // in the pipeline's ConfigWarnings rather than silently misbehaving.
 //
 // New panics if WithTrainedSeed training fails — impossible for the built-in
-// corpus generator short of a programming error. Callers that must observe
-// training errors can use the deprecated NewTrained.
+// corpus generator short of a programming error.
 func New(opts ...Option) *Pipeline {
 	var cfg config
 	for _, opt := range opts {
@@ -373,14 +371,6 @@ func newTrained(seed int64) (*Pipeline, error) {
 		return nil, err
 	}
 	return experiment.NewBriQ(trained).P, nil
-}
-
-// NewTrained returns a pipeline with models trained on the synthetic corpus
-// generated from seed.
-//
-// Deprecated: use New(WithTrainedSeed(seed)).
-func NewTrained(seed int64) (*Pipeline, error) {
-	return newTrained(seed)
 }
 
 // AlignHTMLContext parses an HTML page and aligns every quantity mention of
@@ -466,20 +456,6 @@ func flattenAlignments(perDoc [][]Alignment) []Alignment {
 	return out
 }
 
-// AlignHTML parses an HTML page and aligns every quantity mention of its
-// paragraphs to the related tables.
-//
-// Deprecated: use AlignHTMLContext. AlignHTML cannot be cancelled and, for
-// compatibility with pre-taxonomy callers, maps ErrNoTables/ErrNoMentions to
-// an empty result instead of an error.
-func AlignHTML(p *Pipeline, pageID, html string) ([]Alignment, error) {
-	als, err := AlignHTMLContext(context.Background(), p, pageID, html)
-	if IsUnalignable(err) {
-		return nil, nil
-	}
-	return als, err
-}
-
 // IsUnalignable reports whether err only says the input had nothing to align
 // (ErrNoTables or ErrNoMentions) — the "empty, not broken" class of the
 // taxonomy, which batch ingestion over noisy pages typically skips.
@@ -526,12 +502,13 @@ func AlignCorpus(ctx context.Context, p *Pipeline, docs []*Document) ([]Alignmen
 	}
 	defer release()
 
+	fp := p.Gate.Fingerprint()
 	keys := make([]serve.Key, len(docs))
 	perDoc := make([][]Alignment, len(docs))
 	var missDocs []*Document
 	var missIdx []int
 	for i, doc := range docs {
-		keys[i] = p.Gate.KeyFrom(func(w io.Writer) { core.HashDocument(w, doc) })
+		keys[i] = core.DocumentKey(fp, doc)
 		if v, ok := p.Gate.Lookup(keys[i]); ok {
 			perDoc[i] = v.([]Alignment)
 			continue

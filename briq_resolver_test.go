@@ -31,6 +31,21 @@ func TestWithResolverSelectsStrategy(t *testing.T) {
 	if briq.New().Fingerprint() != briq.New(briq.WithResolver("rwr")).Fingerprint() {
 		t.Error("explicit rwr selection changed the fingerprint vs the default")
 	}
+	// So is its output: an explicitly rwr-selected pipeline aligns
+	// byte-identically to the default one.
+	want, err := briq.AlignHTMLContext(context.Background(), briq.New(), "p0", quickstartPage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := briq.AlignHTMLContext(context.Background(), briq.New(briq.WithResolver("rwr")), "p0", quickstartPage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := json.Marshal(want)
+	gotJSON, _ := json.Marshal(got)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Error("explicit rwr selection diverged from the default pipeline's alignments")
+	}
 	if briq.KnownResolver("annealing") {
 		t.Error("KnownResolver accepted an unknown name")
 	}

@@ -32,16 +32,6 @@ func ParseKey(s string) (Key, error) {
 	return k, nil
 }
 
-// KeyOf derives a content address without an Engine: fill writes the
-// request's identity into the hash, scoped by the model fingerprint. An
-// Engine with the same fingerprint derives the same key via Engine.KeyFrom —
-// offline indexers and the persistent store rely on that identity.
-func KeyOf(fingerprint string, fill func(io.Writer)) Key {
-	w := newKeyWriter(fingerprint)
-	fill(w.h)
-	return w.sum()
-}
-
 // PageKeyOf is the Engine-less form of Engine.PageKey.
 func PageKeyOf(fingerprint, pageID, html string) Key {
 	w := newKeyWriter(fingerprint)
@@ -51,23 +41,22 @@ func PageKeyOf(fingerprint, pageID, html string) Key {
 	return w.sum()
 }
 
-// PartDigest is the SHA-256 of one sub-document content part (paragraph text
-// or table grids), fingerprint-free; DocKeyOf scopes a pair of them into a
-// document Key. The ingest path compares part digests across re-crawls of a
-// page to tell which half of a document actually changed.
+// PartDigest is the SHA-256 of one document content part (paragraph text or
+// tables, see core.DocumentParts), fingerprint-free; DocKeyOf scopes a pair
+// of them into a document Key.
 type PartDigest = [sha256.Size]byte
 
-// DocKeyOf combines a document's position and its per-part content digests
-// into the document's content address. It produces exactly the same Key as
-// KeyOf over core.HashDocument — the per-part scheme is a decomposition of
-// the document identity, not a second identity — so the store, the serve
-// cache's corpus path, and the ingest reuse check all agree on one key.
+// DocKeyOf combines a document's position and its two part digests into the
+// document's content address. core.DocumentKey computes the digests; every
+// path that files or looks up a document goes through it.
 func DocKeyOf(fingerprint, docID, pageID string, text, tables PartDigest) Key {
-	return KeyOf(fingerprint, func(w io.Writer) {
-		fmt.Fprintf(w, "docv2|%s|%s|", docID, pageID)
-		w.Write(text[:])
-		w.Write(tables[:])
-	})
+	w := newKeyWriter(fingerprint)
+	w.str("doc")
+	w.str(docID)
+	w.str(pageID)
+	w.h.Write(text[:])
+	w.h.Write(tables[:])
+	return w.sum()
 }
 
 // keyWriter incrementally builds a Key. Every field is length-prefixed so

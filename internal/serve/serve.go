@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"io"
 
 	"briq/internal/obs"
 )
@@ -71,18 +70,13 @@ func NewEngine(cfg Config) *Engine {
 // PageKey derives the content address of one HTML page request: the model
 // fingerprint, the page ID and the raw page source.
 func (e *Engine) PageKey(pageID, html string) Key {
-	return PageKeyOf(e.fingerprintOrEmpty(), pageID, html)
+	return PageKeyOf(e.Fingerprint(), pageID, html)
 }
 
-// KeyFrom derives a content address from arbitrary content: fill writes the
-// request's identity (already fingerprint-scoped) into the hash. Used by the
-// corpus path, where a document's identity is its structured content rather
-// than one source string.
-func (e *Engine) KeyFrom(fill func(io.Writer)) Key {
-	return KeyOf(e.fingerprintOrEmpty(), fill)
-}
-
-func (e *Engine) fingerprintOrEmpty() string {
+// Fingerprint returns the model fingerprint that scopes the Engine's keys,
+// "" on a nil Engine. Document keys are derived under it with
+// core.DocumentKey.
+func (e *Engine) Fingerprint() string {
 	if e == nil {
 		return ""
 	}

@@ -61,11 +61,13 @@ var ErrNotStore = errors.New("store: directory is not a store (no meta.json)")
 const (
 	logName  = "corpus.ndjson"
 	metaName = "meta.json"
-	// version 3: the log holds only doc and retract records, written by
+	// version 4: the log holds only doc and retract records, written by
 	// whole-page upserts, and align upserts carry the page_key that warms
-	// the page cache on replay. Older stores are refused rather than
-	// replayed under a record format they were not written in.
-	version = 3
+	// the page cache on replay, and documents are filed under
+	// core.DocumentKey — a change to its encoding changes every stored key
+	// and needs a version bump. Older stores are refused rather than
+	// replayed under a record format or key scheme they were not written in.
+	version = 4
 )
 
 // Options configures Open.
@@ -399,13 +401,11 @@ func (s *Store) Close() error {
 // adopted one, for readers that opened with Fingerprint "").
 func (s *Store) Fingerprint() string { return s.fp }
 
-// DocumentKey returns the content address the store files a document under —
-// identical to the serve cache's corpus-path key for the same fingerprint,
-// composed from the per-part content digests so ingest can tell which half
-// of a document moved.
+// DocumentKey returns the content address the store files a document under:
+// core.DocumentKey under the store's fingerprint, the same key the serve
+// cache's corpus path uses.
 func (s *Store) DocumentKey(doc *document.Document) serve.Key {
-	text, tables := core.DocumentParts(doc)
-	return serve.DocKeyOf(s.fp, doc.ID, doc.PageID, text, tables)
+	return core.DocumentKey(s.fp, doc)
 }
 
 // Alignments returns the stored alignments for a live document identity.

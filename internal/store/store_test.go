@@ -196,16 +196,18 @@ func TestFingerprintMismatch(t *testing.T) {
 }
 
 // TestOlderVersionRefused: a directory written under an older record
-// format is refused, not replayed under the current one.
+// format or key scheme is refused, not replayed under the current one.
 func TestOlderVersionRefused(t *testing.T) {
-	dir := t.TempDir()
-	old := []byte(`{"version": 2, "fingerprint": "` + testFP + `"}`)
-	if err := os.WriteFile(filepath.Join(dir, "meta.json"), old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Open(Options{Dir: dir, Fingerprint: testFP})
-	if err == nil || !strings.Contains(err.Error(), "version 2, want 3") {
-		t.Fatalf("err = %v, want a version refusal", err)
+	for _, v := range []string{"2", "3"} {
+		dir := t.TempDir()
+		old := []byte(`{"version": ` + v + `, "fingerprint": "` + testFP + `"}`)
+		if err := os.WriteFile(filepath.Join(dir, "meta.json"), old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(Options{Dir: dir, Fingerprint: testFP})
+		if err == nil || !strings.Contains(err.Error(), "version "+v+", want 4") {
+			t.Fatalf("version %s: err = %v, want a version refusal", v, err)
+		}
 	}
 }
 

@@ -2,18 +2,19 @@ package store
 
 import (
 	"bytes"
-	"io"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
+	"briq"
 	"briq/internal/core"
+	"briq/internal/corpus"
 	"briq/internal/document"
 	"briq/internal/facts"
 	"briq/internal/quantsearch"
-	"briq/internal/serve"
 )
 
 // pageGroup is one page's slice of an aligned corpus, in document order.
@@ -109,28 +110,39 @@ func assertStoreEqual(t *testing.T, got *Store, want corpusReader, label string)
 	}
 }
 
-// TestDocKeyOfMatchesHashDocument pins the identity decomposition: the
-// per-part key the store and ingest path derive must equal the monolithic
-// KeyOf over core.HashDocument, or the serve cache's corpus path and the
-// store would file the same document under two addresses.
-func TestDocKeyOfMatchesHashDocument(t *testing.T) {
-	docs, _ := alignedCorpus(t, 21, 3)
-	for _, d := range docs {
-		want := serve.KeyOf(testFP, func(w io.Writer) { core.HashDocument(w, d) })
-		text, tables := core.DocumentParts(d)
-		if got := serve.DocKeyOf(testFP, d.ID, d.PageID, text, tables); got != want {
-			t.Fatalf("doc %s: DocKeyOf = %s, KeyOf(HashDocument) = %s", d.ID, got, want)
+// TestDocumentKeyMatchesCorpusCache pins the one document identity end to
+// end: after briq.AlignCorpus on a cached pipeline with the store as its sink,
+// the serve cache holds every document under store.DocumentKey and the store
+// files the same alignments under that key — or the corpus cache and the
+// store would address one document two ways.
+func TestDocumentKeyMatchesCorpusCache(t *testing.T) {
+	cfg := corpus.TableSConfig(21)
+	cfg.Pages = 3
+	c := corpus.Generate(cfg)
+	p := briq.New(briq.WithCache(8 << 20))
+	s, err := Open(Options{Dir: t.TempDir(), Fingerprint: p.Fingerprint()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	p.Sink = s
+	if _, err := briq.AlignCorpus(context.Background(), p, c.Docs); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range c.Docs {
+		k := s.DocumentKey(d)
+		v, ok := p.Gate.Lookup(k)
+		if !ok {
+			t.Fatalf("doc %s: serve cache holds nothing under store.DocumentKey %s", d.ID, k)
 		}
-	}
-	// A changed paragraph moves the text part and therefore the key.
-	d := docs[0]
-	text, tables := core.DocumentParts(d)
-	mtext, mtables := core.DocumentParts(mutated(d))
-	if mtext == text {
-		t.Error("mutated paragraph did not change the text part digest")
-	}
-	if mtables != tables {
-		t.Error("mutated paragraph changed the tables part digest")
+		cached := v.([]core.Alignment)
+		stored, ok := s.Alignments(k)
+		if !ok {
+			t.Fatalf("doc %s: store holds nothing under its DocumentKey %s", d.ID, k)
+		}
+		if len(stored) != len(cached) || (len(cached) > 0 && !reflect.DeepEqual(stored, cached)) {
+			t.Fatalf("doc %s: stored alignments %v, cached %v", d.ID, stored, cached)
+		}
 	}
 }
 
